@@ -1,5 +1,7 @@
 """Unit tests for the telemetry counter and histogram primitives."""
 
+import math
+
 import pytest
 
 from repro.errors import ReproError
@@ -121,3 +123,35 @@ class TestHistogram:
         assert clone.counts == hist.counts
         assert clone.count == hist.count
         assert clone.sum == hist.sum
+
+
+def reference_bucket_of(buckets, value):
+    """The original hand-written search: first edge >= value, else the
+    overflow bucket (where NaN, which compares false, also lands)."""
+    lo, hi = 0, len(buckets)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value <= buckets[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("buckets", [LATENCY_BUCKETS_S, SIZE_BUCKETS,
+                                     DEPTH_BUCKETS, (1.0,), (-1.0, 0.0, 2.5)])
+def test_bucket_of_matches_reference_at_and_around_edges(buckets):
+    hist = Histogram("h", buckets)
+    probes = [-math.inf, math.inf, math.nan, 0, 0.0, -0.0]
+    for edge in buckets:
+        probes += [edge, math.nextafter(edge, -math.inf),
+                   math.nextafter(edge, math.inf), edge - 1, edge + 1]
+    for value in probes:
+        assert hist._bucket_of(value) == reference_bucket_of(
+            hist.buckets, value), value
+
+
+def test_nan_lands_in_the_overflow_bucket():
+    hist = Histogram("lat")
+    hist.observe(math.nan)
+    assert hist.counts[-1] == 1
