@@ -169,3 +169,22 @@ def test_distances_casts_float64_to_float32():
         expected = distances(q64.astype(np.float32),
                              Y64.astype(np.float32), metric)
         assert np.array_equal(d, expected)
+
+
+@pytest.mark.parametrize("metric", ["ip", "cosine", "l2"])
+def test_kernel_bits_do_not_depend_on_the_gather_size(metric):
+    """A row scores to the same bits alone as in any larger gather.
+
+    numpy sends a one-row product down a vector path; the kernel must
+    not, or the same vector scores differently in a frontier of one.
+    """
+    rng = np.random.default_rng(5)
+    X, internal = prepare(rng.standard_normal((96, 192)), metric)
+    kernel = make_kernel(X, internal)
+    for row in range(0, 96, 3):
+        query = prepare_query(rng.standard_normal(192), metric)
+        alone = kernel(query, np.array([row]))
+        for extra in (1, 2, 7, 40):
+            ids = np.array([row] + [(row + j + 1) % 96
+                                    for j in range(extra)])
+            assert kernel(query, ids)[:1].tobytes() == alone.tobytes()
