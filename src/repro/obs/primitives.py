@@ -17,6 +17,7 @@ cumulative buckets.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing as t
 
@@ -75,14 +76,11 @@ class Histogram:
         self.counts[self._bucket_of(value)] += 1
 
     def _bucket_of(self, value: float) -> int:
-        lo, hi = 0, len(self.buckets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.buckets[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        if value != value:
+            # NaN compares false with every edge: the overflow bucket
+            # (bisect_left alone would put it in bucket 0).
+            return len(self.buckets)
+        return bisect.bisect_left(self.buckets, value)
 
     @property
     def mean(self) -> float:
