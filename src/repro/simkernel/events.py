@@ -16,6 +16,7 @@ Lifecycle of an event:
 from __future__ import annotations
 
 import typing as t
+from heapq import heappush
 
 from repro.errors import SimulationError
 
@@ -29,6 +30,8 @@ _PENDING = object()
 
 class Event:
     """A one-shot occurrence in simulated time."""
+
+    __slots__ = ("env", "callbacks", "processed", "_value")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -50,10 +53,11 @@ class Event:
 
     def succeed(self, value: t.Any = None) -> "Event":
         """Trigger the event, scheduling its callbacks for *now*."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event triggered twice")
         self._value = value
-        self.env._schedule(self)
+        env = self.env
+        heappush(env._heap, (env._now, next(env._counter), self))
         return self
 
     def _wait(self, callback: Callback) -> None:
@@ -67,14 +71,18 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float,
                  value: t.Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
+        self.env = env
+        self.callbacks = []
+        self.processed = False
         self._value = value
-        env._schedule(self, delay=delay)
+        self.delay = delay
+        heappush(env._heap, (env._now + delay, next(env._counter), self))
 
 
 class AllOf(Event):

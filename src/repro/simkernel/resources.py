@@ -9,6 +9,7 @@ way the paper reports global CPU usage (Figure 4).
 from __future__ import annotations
 
 import typing as t
+from heapq import heappush
 
 from repro.errors import SimulationError
 from repro.simkernel.env import Environment
@@ -42,13 +43,19 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires once a slot is granted."""
-        grant = Event(self.env)
+        env = self.env
+        grant = Event(env)
         if self.telemetry is not None:
             self.telemetry.observe_queue_depth(self.name, len(self._queue))
         if self._in_use < self.capacity:
-            self._account()
+            # _account() and grant.succeed(None), inlined: this is the
+            # replay's hottest path.
+            now = env._now
+            self._busy_integral += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use += 1
-            grant.succeed(None)
+            grant._value = None
+            heappush(env._heap, (now, next(env._counter), grant))
         else:
             self._queue.append(grant)
         return grant
@@ -61,7 +68,9 @@ class Resource:
             # Hand the slot straight over; occupancy is unchanged.
             self._queue.pop(0).succeed(None)
         else:
-            self._account()
+            now = self.env._now
+            self._busy_integral += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use -= 1
 
     def use(self, duration: float) -> t.Generator[Event, t.Any, None]:
